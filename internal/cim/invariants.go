@@ -48,37 +48,42 @@ func condHolds(cond []lang.Comparison, s term.Subst) bool {
 	return true
 }
 
-// findCandidates finds cache entries that `other` (under θ extending
-// the unification of our call with `mine`) matches, with the condition
-// holding. If `other` is ground under θ this is a direct probe; otherwise
-// the cached calls of the other side's function are scanned (charged per
-// entry examined) — by-function via the call index, or over a whole store
-// snapshot on the LinearMatching debug path. No shard lock is held while
-// the clock is charged. requireComplete restricts to complete entries.
-func (m *Manager) findCandidates(ctx *domain.Ctx, theta term.Subst, cond []lang.Comparison, other *lang.CallTemplate, requireComplete bool) []*Entry {
+// findCandidates feeds yield the cache entries that `other` (under θ
+// extending the unification of our call with `mine`) matches, with the
+// condition holding. If `other` is ground under θ this is a direct probe;
+// otherwise the cached calls of the other side's function are scanned
+// (charged per entry examined) — by-function via the call index, or over
+// a whole store snapshot on the LinearMatching debug path. The scan binds
+// each entry into one scratch copy of θ and undoes the bindings through a
+// trail, so examining an entry allocates nothing and θ itself is never
+// modified. No shard lock is held while the clock is charged.
+// requireComplete restricts to complete entries.
+func (m *Manager) findCandidates(ctx *domain.Ctx, theta term.Subst, cond []lang.Comparison, other *lang.CallTemplate, requireComplete bool, yield func(*Entry)) {
 	// Fast path: other side fully determined by our call's bindings.
 	if oc, ok := groundTemplate(other, theta); ok {
 		if !condHolds(cond, theta) {
-			return nil
+			return
 		}
 		ctx.Clock.Sleep(m.cfg.LookupCost)
 		if e, found := m.store.get(oc.Key()); found && (e.Complete || !requireComplete) {
-			return []*Entry{e}
+			yield(e)
 		}
-		return nil
+		return
 	}
 	// Slow path: scan cached calls to the other side's domain:function.
-	var out []*Entry
+	scratch := theta.Clone()
+	var trail []string
 	scan := func(e *Entry) {
 		ctx.Clock.Sleep(m.cfg.ScanPerEntry)
-		theta2, ok := unifyTemplate(theta, other, e.Call)
-		if !ok || !condHolds(cond, theta2) {
-			return
+		ok := relevant(other, e.Call)
+		if ok {
+			trail, ok = scratch.BindAll(other.Args, e.Call.Args, trail[:0])
+			ok = ok && condHolds(cond, scratch)
+			scratch.Undo(trail)
 		}
-		if requireComplete && !e.Complete {
-			return
+		if ok && (e.Complete || !requireComplete) {
+			yield(e)
 		}
-		out = append(out, e)
 	}
 	if m.cfg.LinearMatching {
 		m.linearScans.Add(1)
@@ -88,7 +93,7 @@ func (m *Manager) findCandidates(ctx *domain.Ctx, theta term.Subst, cond []lang.
 			}
 			scan(e)
 		}
-		return out
+		return
 	}
 	for _, ck := range m.idx.CallKeys(other.Domain, other.Function) {
 		e, ok := m.store.get(ck)
@@ -97,7 +102,6 @@ func (m *Manager) findCandidates(ctx *domain.Ctx, theta term.Subst, cond []lang.
 		}
 		scan(e)
 	}
-	return out
 }
 
 // relevant reports whether a template could match the call at all (same
@@ -155,13 +159,13 @@ func (m *Manager) matchEquality(ctx *domain.Ctx, inv *lang.Invariant, call domai
 			continue
 		}
 		// An equality hit requires a complete cached answer set.
-		if cands := m.findCandidates(ctx, theta, inv.Cond, other, true); len(cands) > 0 {
-			best := cands[0]
-			for _, c := range cands[1:] {
-				if c.lastUsed.Load() > best.lastUsed.Load() {
-					best = c
-				}
+		var best *Entry
+		m.findCandidates(ctx, theta, inv.Cond, other, true, func(e *Entry) {
+			if best == nil || e.lastUsed.Load() > best.lastUsed.Load() {
+				best = e
 			}
+		})
+		if best != nil {
 			return best, true
 		}
 	}
@@ -291,11 +295,11 @@ func (m *Manager) matchPartial(ctx *domain.Ctx, inv *lang.Invariant, call domain
 	if !ok {
 		return
 	}
-	for _, e := range m.findCandidates(ctx, theta, inv.Cond, &inv.Right, false) {
+	m.findCandidates(ctx, theta, inv.Cond, &inv.Right, false, func(e *Entry) {
 		if len(e.Answers) > 0 {
 			consider(e, inv)
 		}
-	}
+	})
 }
 
 // findPartial looks for the best sound partial answer for a call

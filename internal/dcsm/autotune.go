@@ -14,65 +14,50 @@ import (
 // materializes tables for hot raw-aggregation shapes and drops cold tables.
 
 // accessStats is guarded by its own mutex so the read-mostly estimation
-// path keeps using the data RLock.
+// path keeps using the data RLock. Counters are keyed by tableID; the
+// string table keys are built only when the counters are read.
 type accessStats struct {
 	mu sync.Mutex
-	// tableHits counts summary-table serves per tableKey since the last
+	// tableHits counts summary-table serves per table since the last
 	// AutoTune.
-	tableHits map[string]int
-	// rawServes counts raw aggregations per would-be tableKey (the
+	tableHits map[tableID]int
+	// rawServes counts raw aggregations per would-be table (the
 	// dimension set the lookup needed) since the last AutoTune.
-	rawServes map[string]struct {
-		count int
-		dom   string
-		fn    string
-		arity int
-		dims  []int
-	}
+	rawServes map[tableID]int
 }
 
-func (a *accessStats) init() {
+func (a *accessStats) noteTableHit(id tableID) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.tableHits == nil {
-		a.tableHits = map[string]int{}
+		a.tableHits = map[tableID]int{}
 	}
+	a.tableHits[id]++
+}
+
+func (a *accessStats) noteRawServe(id tableID) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.rawServes == nil {
-		a.rawServes = map[string]struct {
-			count int
-			dom   string
-			fn    string
-			arity int
-			dims  []int
-		}{}
+		a.rawServes = map[tableID]int{}
 	}
+	a.rawServes[id]++
 }
 
-func (a *accessStats) noteTableHit(key string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.init()
-	a.tableHits[key]++
-}
-
-func (a *accessStats) noteRawServe(key, dom, fn string, arity int, dims []int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.init()
-	e := a.rawServes[key]
-	e.count++
-	e.dom, e.fn, e.arity = dom, fn, arity
-	e.dims = append([]int(nil), dims...)
-	a.rawServes[key] = e
+// byTableKey copies counters out under their string table keys.
+func byTableKey(counts map[tableID]int) map[string]int {
+	out := make(map[string]int, len(counts))
+	for id, n := range counts {
+		out[id.String()] = n
+	}
+	return out
 }
 
 // TableHits returns the per-table serve counts since the last AutoTune.
 func (db *DB) TableHits() map[string]int {
 	db.access.mu.Lock()
 	defer db.access.mu.Unlock()
-	out := make(map[string]int, len(db.access.tableHits))
-	for k, v := range db.access.tableHits {
-		out[k] = v
-	}
-	return out
+	return byTableKey(db.access.tableHits)
 }
 
 // RawAggregations returns, per would-be table key, how many estimations
@@ -80,11 +65,7 @@ func (db *DB) TableHits() map[string]int {
 func (db *DB) RawAggregations() map[string]int {
 	db.access.mu.Lock()
 	defer db.access.mu.Unlock()
-	out := make(map[string]int, len(db.access.rawServes))
-	for k, v := range db.access.rawServes {
-		out[k] = v.count
-	}
-	return out
+	return byTableKey(db.access.rawServes)
 }
 
 // AutoTune applies the access-pattern policy: every dimension shape that
@@ -98,35 +79,26 @@ func (db *DB) AutoTune(createThreshold, keepThreshold int) (created, dropped []s
 	hits := db.access.tableHits
 	db.access.rawServes = nil
 	db.access.tableHits = nil
-	db.access.init()
 	db.access.mu.Unlock()
 
-	for key, e := range raw {
-		if e.count < createThreshold {
+	fresh := map[tableID]bool{}
+	for id, n := range raw {
+		if n < createThreshold {
 			continue
 		}
-		if _, err2 := db.Summarize(e.dom, e.fn, e.arity, e.dims); err2 != nil {
+		if _, err2 := db.Summarize(id.dom, id.fn, id.arity, dimsOf(id.dims)); err2 != nil {
 			return created, dropped, err2
 		}
-		created = append(created, key)
+		fresh[id] = true
+		created = append(created, id.String())
 	}
 	db.mu.Lock()
-	for key, t := range db.summaries {
-		if hits[key] < keepThreshold {
-			// Never drop a table created in this very pass.
-			fresh := false
-			for _, c := range created {
-				if c == key {
-					fresh = true
-					break
-				}
-			}
-			if !fresh {
-				delete(db.summaries, key)
-				dropped = append(dropped, key)
-			}
+	for id := range db.summaries {
+		// Never drop a table created in this very pass.
+		if hits[id] < keepThreshold && !fresh[id] {
+			delete(db.summaries, id)
+			dropped = append(dropped, id.String())
 		}
-		_ = t
 	}
 	db.mu.Unlock()
 	sort.Strings(created)

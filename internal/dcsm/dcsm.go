@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -70,9 +71,27 @@ type Record struct {
 	RecordedAt            time.Duration
 }
 
-// groupKey identifies all records of one domain function.
-func groupKey(dom, fn string, arity int) string {
-	return fmt.Sprintf("%s:%s/%d", dom, fn, arity)
+// group identifies all records of one domain function.
+type group struct {
+	dom, fn string
+	arity   int
+}
+
+// String renders the group as "dom:fn/arity".
+func (g group) String() string { return fmt.Sprintf("%s:%s/%d", g.dom, g.fn, g.arity) }
+
+// tableID identifies a summary table: its function plus the bitmask of
+// the argument positions it keeps as dimensions (bit i for position i,
+// the same encoding as domain.Pattern.Mask).
+type tableID struct {
+	group
+	dims uint64
+}
+
+// String renders the table key the AutoTune counters report:
+// "dom:fn/arity[d1,d2,...]".
+func (id tableID) String() string {
+	return id.group.String() + "[" + dimsKey(dimsOf(id.dims)) + "]"
 }
 
 // DB is the domain cost and statistics module.
@@ -80,8 +99,8 @@ type DB struct {
 	cfg Config
 
 	mu         sync.RWMutex
-	records    map[string][]Record      // groupKey -> raw cost vector database
-	summaries  map[string]*SummaryTable // tableKey -> summary table
+	records    map[group][]Record
+	summaries  map[tableID]*SummaryTable
 	estimators map[string]domain.Estimator
 	now        func() time.Duration
 	access     accessStats // per-table usage counters for AutoTune
@@ -96,8 +115,8 @@ func New(cfg Config, now func() time.Duration) *DB {
 	}
 	return &DB{
 		cfg:        cfg,
-		records:    make(map[string][]Record),
-		summaries:  make(map[string]*SummaryTable),
+		records:    make(map[group][]Record),
+		summaries:  make(map[tableID]*SummaryTable),
 		estimators: make(map[string]domain.Estimator),
 		now:        now,
 	}
@@ -134,7 +153,7 @@ func (db *DB) Observe(m domain.Measurement) {
 		HasCard:    m.Complete,
 		RecordedAt: db.now(),
 	}
-	key := groupKey(m.Call.Domain, m.Call.Function, len(m.Call.Args))
+	key := group{m.Call.Domain, m.Call.Function, len(m.Call.Args)}
 	recs := append(db.records[key], rec)
 	if db.cfg.MaxRecordsPerCall > 0 && len(recs) > db.cfg.MaxRecordsPerCall {
 		recs = recs[len(recs)-db.cfg.MaxRecordsPerCall:]
@@ -148,7 +167,7 @@ func (db *DB) Observe(m domain.Measurement) {
 func (db *DB) ObserveRecord(rec Record) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	key := groupKey(rec.Call.Domain, rec.Call.Function, len(rec.Call.Args))
+	key := group{rec.Call.Domain, rec.Call.Function, len(rec.Call.Args)}
 	recs := append(db.records[key], rec)
 	if db.cfg.MaxRecordsPerCall > 0 && len(recs) > db.cfg.MaxRecordsPerCall {
 		recs = recs[len(recs)-db.cfg.MaxRecordsPerCall:]
@@ -160,7 +179,7 @@ func (db *DB) ObserveRecord(rec Record) {
 func (db *DB) RecordCount(dom, fn string, arity int) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.records[groupKey(dom, fn, arity)])
+	return len(db.records[group{dom, fn, arity}])
 }
 
 // Records returns a copy of the raw records for a function, in recording
@@ -168,7 +187,7 @@ func (db *DB) RecordCount(dom, fn string, arity int) int {
 func (db *DB) Records(dom, fn string, arity int) []Record {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return append([]Record(nil), db.records[groupKey(dom, fn, arity)]...)
+	return append([]Record(nil), db.records[group{dom, fn, arity}]...)
 }
 
 // DropDetail deletes the raw records of a function, keeping only its
@@ -176,7 +195,7 @@ func (db *DB) Records(dom, fn string, arity int) []Record {
 func (db *DB) DropDetail(dom, fn string, arity int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	delete(db.records, groupKey(dom, fn, arity))
+	delete(db.records, group{dom, fn, arity})
 }
 
 // FunctionStat is one domain function's statistics footprint: how much
@@ -197,9 +216,9 @@ type FunctionStat struct {
 func (db *DB) FunctionStats() []FunctionStat {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	byKey := map[string]*FunctionStat{}
+	byKey := map[group]*FunctionStat{}
 	get := func(dom, fn string, arity int) *FunctionStat {
-		key := groupKey(dom, fn, arity)
+		key := group{dom, fn, arity}
 		st := byKey[key]
 		if st == nil {
 			st = &FunctionStat{Domain: dom, Function: fn, Arity: arity}
@@ -269,15 +288,15 @@ func (db *DB) Storage() StorageStats {
 	return s
 }
 
-// aggregate folds a set of records into a cost vector, respecting missing
-// components and recency weights. ok=false when no record contributes
-// anything.
-func (db *DB) aggregate(recs []Record, match func(Record) bool) (domain.CostVector, bool) {
+// aggregate folds the records matching a pattern's constants at the mask's
+// positions into a cost vector, respecting missing components and recency
+// weights. ok=false when no record contributes anything.
+func (db *DB) aggregate(recs []Record, p domain.Pattern, mask uint64) (domain.CostVector, bool) {
 	now := db.now()
 	var sumTf, sumTa, sumCard float64
 	var wTf, wTa, wCard float64
 	for _, r := range recs {
-		if !match(r) {
+		if !matchMask(p, mask, r.Call) {
 			continue
 		}
 		w := db.weight(r, now)
@@ -317,14 +336,15 @@ func (db *DB) aggregate(recs []Record, match func(Record) bool) (domain.CostVect
 	return cv, true
 }
 
-// matchPattern reports whether a record's call matches a pattern's known
-// constants.
-func matchPattern(p domain.Pattern, c domain.Call) bool {
+// matchMask reports whether a record's call matches a pattern's constants
+// at the positions set in mask (all of which are known in p).
+func matchMask(p domain.Pattern, mask uint64, c domain.Call) bool {
 	if len(p.Args) != len(c.Args) {
 		return false
 	}
-	for i, a := range p.Args {
-		if a.Known && !term.Equal(a.Val, c.Args[i]) {
+	for m := mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if !term.Equal(p.Args[i].Val, c.Args[i]) {
 			return false
 		}
 	}
@@ -340,9 +360,26 @@ func dimsKey(dims []int) string {
 	return strings.Join(parts, ",")
 }
 
-// tableKey identifies a summary table by function and dimension set.
-func tableKey(dom, fn string, arity int, dims []int) string {
-	return groupKey(dom, fn, arity) + "[" + dimsKey(dims) + "]"
+// maxDims bounds dimension positions: a table's dimension set is a
+// 64-bit mask.
+const maxDims = 64
+
+// maskOf encodes an ascending dimension list as a position bitmask.
+func maskOf(dims []int) uint64 {
+	var m uint64
+	for _, d := range dims {
+		m |= 1 << uint(d)
+	}
+	return m
+}
+
+// dimsOf decodes a position bitmask into an ascending dimension list.
+func dimsOf(mask uint64) []int {
+	dims := make([]int, 0, bits.OnesCount64(mask))
+	for m := mask; m != 0; m &= m - 1 {
+		dims = append(dims, bits.TrailingZeros64(m))
+	}
+	return dims
 }
 
 // normalizeDims sorts and deduplicates a dimension list and validates it
@@ -352,7 +389,7 @@ func normalizeDims(dims []int, arity int) ([]int, error) {
 	sort.Ints(out)
 	prev := -1
 	for _, d := range out {
-		if d < 0 || d >= arity {
+		if d < 0 || d >= arity || d >= maxDims {
 			return nil, fmt.Errorf("dimension %d out of range for arity %d", d, arity)
 		}
 		if d == prev {

@@ -2,6 +2,7 @@ package dcsm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hermes/internal/domain"
 )
@@ -20,8 +21,7 @@ import (
 //     table aggregate the raw cost vector database instead (the expensive
 //     average the summaries exist to avoid).
 func (db *DB) Cost(p domain.Pattern) (domain.CostVector, error) {
-	cv, _, err := db.CostWithTrace(p)
-	return cv, err
+	return db.cost(p, nil)
 }
 
 // CostWithTrace is Cost plus a human-readable trace of the lookup path,
@@ -29,47 +29,63 @@ func (db *DB) Cost(p domain.Pattern) (domain.CostVector, error) {
 // explain mode.
 func (db *DB) CostWithTrace(p domain.Pattern) (domain.CostVector, []string, error) {
 	var trace []string
+	cv, err := db.cost(p, &trace)
+	return cv, trace, err
+}
+
+// cost resolves an estimate, appending the lookup path to *trace when
+// trace is non-nil. Cost passes nil, so planning formats no trace lines.
+func (db *DB) cost(p domain.Pattern, trace *[]string) (domain.CostVector, error) {
 	db.mu.RLock()
 	est, hasEst := db.estimators[p.Domain]
 	db.mu.RUnlock()
 	if hasEst {
 		if cv, missing, ok := est.EstimateCost(p); ok {
-			db.ob.Counter("hermes_dcsm_estimates_total", "source", "native").Inc()
-			trace = append(trace, fmt.Sprintf("native estimator for %s: %s", p.Domain, cv))
-			if len(missing) == 0 {
-				return cv, trace, nil
+			db.countEstimate("native")
+			if trace != nil {
+				*trace = append(*trace, fmt.Sprintf("native estimator for %s: %s", p.Domain, cv))
 			}
-			if statCV, statTrace, err := db.costFromStats(p); err == nil {
-				trace = append(trace, statTrace...)
-				for _, field := range missing {
-					switch field {
-					case "tf":
-						cv.TFirst = statCV.TFirst
-					case "ta":
-						cv.TAll = statCV.TAll
-					case "card":
-						cv.Card = statCV.Card
-					}
+			if len(missing) == 0 {
+				return cv, nil
+			}
+			mark := 0
+			if trace != nil {
+				mark = len(*trace)
+			}
+			statCV, err := db.costFromStats(p, trace)
+			if err != nil {
+				// A failed statistics fill contributes nothing, not
+				// even its trace.
+				if trace != nil {
+					*trace = (*trace)[:mark]
+				}
+				return cv, nil
+			}
+			for _, field := range missing {
+				switch field {
+				case "tf":
+					cv.TFirst = statCV.TFirst
+				case "ta":
+					cv.TAll = statCV.TAll
+				case "card":
+					cv.Card = statCV.Card
 				}
 			}
-			return cv, trace, nil
+			return cv, nil
 		}
-		trace = append(trace, fmt.Sprintf("native estimator for %s declined pattern", p.Domain))
+		if trace != nil {
+			*trace = append(*trace, fmt.Sprintf("native estimator for %s declined pattern", p.Domain))
+		}
 	}
-	cv, statTrace, err := db.costFromStats(p)
-	trace = append(trace, statTrace...)
-	return cv, trace, err
+	return db.costFromStats(p, trace)
 }
 
-// knownPositions returns the ascending positions of known constants.
-func knownPositions(p domain.Pattern) []int {
-	var out []int
-	for i, a := range p.Args {
-		if a.Known {
-			out = append(out, i)
-		}
+// countEstimate bumps the estimate-resolution counter for a source. The
+// label list is built only when an observer is installed.
+func (db *DB) countEstimate(source string) {
+	if db.ob != nil {
+		db.ob.Counter("hermes_dcsm_estimates_total", "source", source).Inc()
 	}
-	return out
 }
 
 // rowVector converts a summary row to a cost vector, applying the same
@@ -89,53 +105,114 @@ func rowVector(r *SummaryRow) (domain.CostVector, bool) {
 }
 
 // costFromStats runs the breadth-first relaxation search over summary
-// tables and (optionally) the raw database.
-func (db *DB) costFromStats(p domain.Pattern) (domain.CostVector, []string, error) {
+// tables and (optionally) the raw database. A level of the search is a
+// mask of the pattern's known positions: the pattern itself, then every
+// mask with one known constant relaxed to $b, then two, down to the
+// fully-general empty mask (nondeterministic choice in the paper;
+// breadth-first here, so more specific levels win). Within a level the
+// relaxed positions run in lexicographic order — the order in which a
+// search relaxing one constant at a time, lowest position first, reaches
+// them. Masks are enumerated in place, so no relaxed pattern is built
+// unless the trace needs one.
+func (db *DB) costFromStats(p domain.Pattern, trace *[]string) (domain.CostVector, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	var trace []string
-	arity := len(p.Args)
-	gk := groupKey(p.Domain, p.Function, arity)
-	recs := db.records[gk]
+	g := group{p.Domain, p.Function, len(p.Args)}
+	recs := db.records[g]
 
-	queue := []domain.Pattern{p}
-	visited := map[uint64]bool{p.Mask(): true}
-	for len(queue) > 0 {
-		q := queue[0]
-		queue = queue[1:]
-		dims := knownPositions(q)
-		tk := tableKey(p.Domain, p.Function, arity, dims)
-		if t, ok := db.summaries[tk]; ok {
-			if row, hit := t.lookupRow(q); hit {
-				if cv, valid := rowVector(row); valid {
-					db.access.noteTableHit(tk)
-					db.ob.Counter("hermes_dcsm_estimates_total", "source", "summary").Inc()
-					trace = append(trace, fmt.Sprintf("summary table %s hit for %s (l=%d)", dimsKey(dims), q, row.L))
-					return cv, trace, nil
-				}
-			}
-			trace = append(trace, fmt.Sprintf("summary table %s: no row for %s", dimsKey(dims), q))
-		} else if db.cfg.AllowRawAggregation && len(recs) > 0 {
-			if cv, ok := db.aggregate(recs, func(r Record) bool { return matchPattern(q, r.Call) }); ok {
-				db.access.noteRawServe(tk, p.Domain, p.Function, arity, dims)
-				db.ob.Counter("hermes_dcsm_estimates_total", "source", "raw").Inc()
-				trace = append(trace, fmt.Sprintf("raw aggregation over cost vector database for %s", q))
-				return cv, trace, nil
-			}
-			trace = append(trace, fmt.Sprintf("raw database: no records match %s", q))
-		} else {
-			trace = append(trace, fmt.Sprintf("no table with dims %s for %s", dimsKey(dims), q))
+	known := p.Mask()
+	var pos [maxDims]int // known positions, ascending
+	k := 0
+	for m := known; m != 0; m &= m - 1 {
+		pos[k] = bits.TrailingZeros64(m)
+		k++
+	}
+	var relaxed [maxDims]int // indexes into pos of the relaxed positions
+	for r := 0; r <= k; r++ {
+		comb := relaxed[:r]
+		for i := range comb {
+			comb[i] = i
 		}
-		// Relax one known constant at a time (nondeterministic choice in the
-		// paper; breadth-first here, so more specific levels win).
-		for _, d := range dims {
-			r := q.Relax(d)
-			if m := r.Mask(); !visited[m] {
-				visited[m] = true
-				queue = append(queue, r)
+		for more := true; more; more = nextCombination(comb, k) {
+			mask := known
+			for _, i := range comb {
+				mask &^= 1 << uint(pos[i])
+			}
+			if cv, ok := db.probeLevel(p, tableID{g, mask}, recs, trace); ok {
+				return cv, nil
 			}
 		}
 	}
-	db.ob.Counter("hermes_dcsm_estimates_total", "source", "none").Inc()
-	return domain.CostVector{}, trace, fmt.Errorf("%w: %s", ErrNoStatistics, p)
+	db.countEstimate("none")
+	return domain.CostVector{}, fmt.Errorf("%w: %s", ErrNoStatistics, p)
+}
+
+// nextCombination advances comb, an ascending r-subset of 0..k-1, to its
+// lexicographic successor, reporting false after the last one.
+func nextCombination(comb []int, k int) bool {
+	r := len(comb)
+	i := r - 1
+	for i >= 0 && comb[i] == k-r+i {
+		i--
+	}
+	if i < 0 {
+		return false
+	}
+	comb[i]++
+	for j := i + 1; j < r; j++ {
+		comb[j] = comb[j-1] + 1
+	}
+	return true
+}
+
+// probeLevel tries one relaxation level: the summary table keeping exactly
+// the level's positions if there is one, else (when allowed) raw
+// aggregation over the records matching the level's constants. The
+// caller holds the read lock.
+func (db *DB) probeLevel(p domain.Pattern, id tableID, recs []Record, trace *[]string) (domain.CostVector, bool) {
+	if t, ok := db.summaries[id]; ok {
+		if row, hit := t.lookupRow(p); hit {
+			if cv, valid := rowVector(row); valid {
+				db.access.noteTableHit(id)
+				db.countEstimate("summary")
+				if trace != nil {
+					*trace = append(*trace, fmt.Sprintf("summary table %s hit for %s (l=%d)", dimsKey(t.Dims), relaxTo(p, id.dims), row.L))
+				}
+				return cv, true
+			}
+		}
+		if trace != nil {
+			*trace = append(*trace, fmt.Sprintf("summary table %s: no row for %s", dimsKey(t.Dims), relaxTo(p, id.dims)))
+		}
+		return domain.CostVector{}, false
+	}
+	if db.cfg.AllowRawAggregation && len(recs) > 0 {
+		if cv, ok := db.aggregate(recs, p, id.dims); ok {
+			db.access.noteRawServe(id)
+			db.countEstimate("raw")
+			if trace != nil {
+				*trace = append(*trace, fmt.Sprintf("raw aggregation over cost vector database for %s", relaxTo(p, id.dims)))
+			}
+			return cv, true
+		}
+		if trace != nil {
+			*trace = append(*trace, fmt.Sprintf("raw database: no records match %s", relaxTo(p, id.dims)))
+		}
+		return domain.CostVector{}, false
+	}
+	if trace != nil {
+		*trace = append(*trace, fmt.Sprintf("no table with dims %s for %s", dimsKey(dimsOf(id.dims)), relaxTo(p, id.dims)))
+	}
+	return domain.CostVector{}, false
+}
+
+// relaxTo returns p with every known constant outside mask relaxed to $b:
+// the pattern a relaxation level stands for, as the trace prints it.
+func relaxTo(p domain.Pattern, mask uint64) domain.Pattern {
+	for i, a := range p.Args {
+		if a.Known && mask&(1<<uint(i)) == 0 {
+			p = p.Relax(i)
+		}
+	}
+	return p
 }

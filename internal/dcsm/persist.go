@@ -109,7 +109,7 @@ func (db *DB) Load(r io.Reader) error {
 	if snap.Version != snapshotVersion {
 		return fmt.Errorf("dcsm: load: unsupported snapshot version %d", snap.Version)
 	}
-	records := make(map[string][]Record)
+	records := make(map[group][]Record)
 	for _, sr := range snap.Records {
 		args, err := term.DecodeJSONs(sr.Args)
 		if err != nil {
@@ -123,10 +123,10 @@ func (db *DB) Load(r io.Reader) error {
 			HasTf: sr.HasTf, HasTa: sr.HasTa, HasCard: sr.HasCard,
 			RecordedAt: time.Duration(sr.AtNs),
 		}
-		key := groupKey(sr.Domain, sr.Function, len(args))
+		key := group{sr.Domain, sr.Function, len(args)}
 		records[key] = append(records[key], rec)
 	}
-	summaries := make(map[string]*SummaryTable)
+	summaries := make(map[tableID]*SummaryTable)
 	for _, st := range snap.Tables {
 		dims, err := normalizeDims(st.Dims, st.Arity)
 		if err != nil {
@@ -148,7 +148,7 @@ func (db *DB) Load(r io.Reader) error {
 			}
 			t.rows[rowKey(dimVals)] = row
 		}
-		summaries[tableKey(st.Domain, st.Function, st.Arity, dims)] = t
+		summaries[t.id()] = t
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -50,6 +50,11 @@ func (t *SummaryTable) Rows() []*SummaryRow {
 	return out
 }
 
+// id returns the table's key in the module's table map.
+func (t *SummaryTable) id() tableID {
+	return tableID{group{t.Domain, t.Function, t.Arity}, maskOf(t.Dims)}
+}
+
 // Len returns the number of rows.
 func (t *SummaryTable) Len() int { return len(t.rows) }
 
@@ -99,11 +104,11 @@ func rowKey(vals []term.Value) string {
 func (db *DB) Summarize(dom, fn string, arity int, dims []int) (*SummaryTable, error) {
 	nd, err := normalizeDims(dims, arity)
 	if err != nil {
-		return nil, fmt.Errorf("summarize %s: %w", groupKey(dom, fn, arity), err)
+		return nil, fmt.Errorf("summarize %s: %w", group{dom, fn, arity}, err)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	recs := db.records[groupKey(dom, fn, arity)]
+	recs := db.records[group{dom, fn, arity}]
 	now := db.now()
 	t := &SummaryTable{Domain: dom, Function: fn, Arity: arity, Dims: nd,
 		rows: make(map[string]*SummaryRow), BuiltAt: now}
@@ -133,7 +138,7 @@ func (db *DB) Summarize(dom, fn string, arity int, dims []int) (*SummaryTable, e
 			row.wCard += w
 		}
 	}
-	db.summaries[tableKey(dom, fn, arity, nd)] = t
+	db.summaries[t.id()] = t
 	return t, nil
 }
 
@@ -175,7 +180,7 @@ func (db *DB) Table(dom, fn string, arity int, dims []int) (*SummaryTable, bool)
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.summaries[tableKey(dom, fn, arity, nd)]
+	t, ok := db.summaries[tableID{group{dom, fn, arity}, maskOf(nd)}]
 	return t, ok
 }
 
@@ -188,7 +193,7 @@ func (db *DB) DropTable(dom, fn string, arity int, dims []int) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	delete(db.summaries, tableKey(dom, fn, arity, nd))
+	delete(db.summaries, tableID{group{dom, fn, arity}, maskOf(nd)})
 }
 
 // Tables lists all registered summary tables.
@@ -200,9 +205,7 @@ func (db *DB) Tables() []*SummaryTable {
 		out = append(out, t)
 	}
 	sort.Slice(out, func(a, b int) bool {
-		ka := tableKey(out[a].Domain, out[a].Function, out[a].Arity, out[a].Dims)
-		kb := tableKey(out[b].Domain, out[b].Function, out[b].Arity, out[b].Dims)
-		return ka < kb
+		return out[a].id().String() < out[b].id().String()
 	})
 	return out
 }

@@ -46,10 +46,11 @@ type AdmissionPoint struct {
 	GrantsPerSession int `json:"grants_per_session"`
 	// PoolPeak is the pool's lane high-water mark; SourcePeak is the
 	// concurrency the metered source actually observed. Both must stay
-	// within MaxInflight. PoolPeak is exact and reproducible; SourcePeak
-	// is a real-time observation (every open call holds a lane, so the
-	// bound is structural, but how many overlap on the wall clock depends
-	// on goroutine scheduling).
+	// within MaxInflight. PoolPeak is exact and reproducible: the sessions
+	// meet at a rendezvous while holding their lanes, so it is the sum of
+	// their fair shares. SourcePeak is a real-time observation (every open
+	// call holds a lane, so the bound is structural, but how many overlap
+	// on the wall clock depends on goroutine scheduling).
 	PoolPeak   int `json:"pool_peak"`
 	SourcePeak int `json:"source_peak"`
 	// SessionTAllMs is each admitted session's all-answers virtual time,
@@ -149,31 +150,57 @@ func AdmissionFairness() (*AdmissionResult, error) {
 		// after ALL sessions finish: an early finisher returning its lane
 		// mid-run would hand real-time-dependent extra lanes to whoever is
 		// still running, and the figure would stop being reproducible.
+		// For the same reason every session pulls its first answer and
+		// then waits at a rendezvous until all have: the union leases its
+		// extra lanes when it starts and returns them when it ends, so
+		// without the rendezvous a session that ran to completion before
+		// another started would hide its lanes from the pool peak. At the
+		// rendezvous every session holds its full fair share at once, and
+		// the peak is exactly the sum of the shares.
 		talls := make([]time.Duration, len(admitted))
 		errs := make([]error, len(admitted))
-		var wg sync.WaitGroup
+		var started, done sync.WaitGroup
+		rendezvous := make(chan struct{})
 		for i, s := range admitted {
-			wg.Add(1)
+			started.Add(1)
+			done.Add(1)
 			go func(i int, s session) {
-				defer wg.Done()
+				defer done.Done()
+				var once sync.Once
+				arrive := func() { once.Do(started.Done) }
+				defer arrive()
 				cur, err := sys.ExecuteCtx(s.ctx, plan)
 				if err != nil {
 					errs[i] = err
 					return
 				}
-				answers, m, err := engine.CollectAll(cur)
+				_, ok, err := cur.Next()
+				if err != nil {
+					cur.Close()
+					errs[i] = err
+					return
+				}
+				arrive()
+				<-rendezvous
+				rest, m, err := engine.CollectAll(cur)
 				if err != nil {
 					errs[i] = err
 					return
 				}
-				if len(answers) != 4 {
-					errs[i] = fmt.Errorf("session %d starved: %d answers, want 4", i, len(answers))
+				n := len(rest)
+				if ok {
+					n++
+				}
+				if n != 4 {
+					errs[i] = fmt.Errorf("session %d starved: %d answers, want 4", i, n)
 					return
 				}
 				talls[i] = m.TAll
 			}(i, s)
 		}
-		wg.Wait()
+		started.Wait()
+		close(rendezvous)
+		done.Wait()
 		for _, s := range admitted {
 			s.release()
 		}

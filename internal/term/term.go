@@ -102,31 +102,37 @@ func (s Subst) Ground(t Term) bool {
 // attribute paths must already be resolvable and equal to the value (they
 // cannot be bound, since the enclosing record is unknown).
 func (s Subst) Unify(t Term, v Value) (Subst, bool) {
-	if t.IsConst() {
-		if Equal(t.Const, v) {
-			return s, true
-		}
+	bind, ok := s.match(t, v)
+	if !ok {
 		return nil, false
 	}
-	if len(t.Path) > 0 {
-		cur, err := s.Eval(t)
-		if err != nil {
-			return nil, false
-		}
-		if Equal(cur, v) {
-			return s, true
-		}
-		return nil, false
-	}
-	if bound, ok := s[t.Var]; ok {
-		if Equal(bound, v) {
-			return s, true
-		}
-		return nil, false
+	if !bind {
+		return s, true
 	}
 	out := s.Clone()
 	out[t.Var] = v
 	return out, true
+}
+
+// match checks t against v under s without binding anything. ok reports
+// agreement; bind reports that t is an unbound bare variable, which
+// unification would bind to v.
+func (s Subst) match(t Term, v Value) (bind, ok bool) {
+	if t.IsConst() {
+		return false, Equal(t.Const, v)
+	}
+	cur, bound := s[t.Var]
+	if len(t.Path) > 0 {
+		if !bound {
+			return false, false
+		}
+		sel, err := Select(cur, t.Path)
+		return false, err == nil && Equal(sel, v)
+	}
+	if bound {
+		return false, Equal(cur, v)
+	}
+	return true, true
 }
 
 // UnifyAll unifies a list of terms against a list of ground values.
@@ -143,6 +149,34 @@ func (s Subst) UnifyAll(ts []Term, vs []Value) (Subst, bool) {
 		cur = next
 	}
 	return cur, true
+}
+
+// BindAll is UnifyAll in place: it writes new bindings into s instead of
+// cloning it, appending each newly bound variable to trail, and returns
+// the extended trail. On a mismatch ok=false and s may hold part of the
+// new bindings; either way Undo(trail) restores s.
+func (s Subst) BindAll(ts []Term, vs []Value, trail []string) ([]string, bool) {
+	if len(ts) != len(vs) {
+		return trail, false
+	}
+	for i, t := range ts {
+		bind, ok := s.match(t, vs[i])
+		if !ok {
+			return trail, false
+		}
+		if bind {
+			s[t.Var] = vs[i]
+			trail = append(trail, t.Var)
+		}
+	}
+	return trail, true
+}
+
+// Undo removes the bindings BindAll recorded in trail.
+func (s Subst) Undo(trail []string) {
+	for _, name := range trail {
+		delete(s, name)
+	}
 }
 
 // RelOp is a comparison operator of the mediator language.

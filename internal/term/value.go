@@ -6,6 +6,7 @@ package term
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -207,7 +208,31 @@ func (r Record) String() string {
 }
 
 // Equal reports whether two values are identical (same canonical key).
+// Scalars compare directly, without building keys: Float follows its
+// key's formatting, so every NaN equals every NaN and 0 differs from -0.
+// Values of different kinds are never equal (Int(1) is not Float(1)).
 func Equal(a, b Value) bool {
+	switch av := a.(type) {
+	case Str:
+		bv, ok := b.(Str)
+		return ok && av == bv
+	case Int:
+		bv, ok := b.(Int)
+		return ok && av == bv
+	case Bool:
+		bv, ok := b.(Bool)
+		return ok && av == bv
+	case Float:
+		bv, ok := b.(Float)
+		if !ok {
+			return false
+		}
+		x, y := float64(av), float64(bv)
+		if math.IsNaN(x) || math.IsNaN(y) {
+			return math.IsNaN(x) && math.IsNaN(y)
+		}
+		return math.Float64bits(x) == math.Float64bits(y)
+	}
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
