@@ -160,7 +160,9 @@ type Stats struct {
 
 // Entry is one cached call with its answer set. Entries are immutable
 // once stored (replacement swaps the whole entry) except for the recency
-// stamp, which is atomic.
+// stamp, which is atomic. Probe's memo of partial-step results relies on
+// this: only a store operation, which advances the store's generation,
+// can change what a scan of the entries finds.
 type Entry struct {
 	Call    domain.Call
 	Answers []term.Value
@@ -189,6 +191,8 @@ type Manager struct {
 	// store is the sharded cache map; counter stamps recency.
 	store   *store
 	counter atomic.Int64
+	// probes memoizes Probe's partial step per store generation.
+	probes probeMemo
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -329,6 +333,7 @@ func (m *Manager) AddInvariant(inv *lang.Invariant) error {
 		return err
 	}
 	m.idx.AddInvariant(inv)
+	m.store.gen.Add(1)
 	return nil
 }
 
@@ -371,8 +376,10 @@ func (m *Manager) Bytes() int { return int(m.store.bytes.Load()) }
 // call key is reported to the invalidation subscriber.
 func (m *Manager) Clear() {
 	dropped := m.store.snapshot()
-	m.store.clear()
+	// Index first: the store's clear then advances the generation past
+	// any probe that saw the old entries.
 	m.idx.ResetCalls(nil)
+	m.store.clear()
 	for _, e := range dropped {
 		m.invalidate(e.Call.Key())
 	}
@@ -439,6 +446,7 @@ func (m *Manager) evict() {
 		}
 		if m.store.removeIf(victim.Call.Key(), victim) {
 			m.idx.RemoveCall(victim.Call)
+			m.store.gen.Add(1) // the index changed after the removal
 			m.invalidate(victim.Call.Key())
 			m.bumpStats(func(st *Stats) { st.Evictions++ })
 			m.obs().Counter("hermes_cim_evictions_total").Inc()

@@ -102,13 +102,15 @@ func (m *Manager) Load(r io.Reader) error {
 	}
 	// The load replaces whatever was cached: memo relations built from the
 	// previous contents are stale, and the call index is rebuilt to match.
+	// Index first: replacing the store then advances the generation past
+	// any probe that ran in between.
 	prior := m.store.snapshot()
-	m.store.replace(entries)
 	calls := make([]domain.Call, 0, len(entries))
 	for _, e := range entries {
 		calls = append(calls, e.Call)
 	}
 	m.idx.ResetCalls(calls)
+	m.store.replace(entries)
 	for _, e := range prior {
 		m.invalidate(e.Call.Key())
 	}

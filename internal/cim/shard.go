@@ -16,10 +16,17 @@ const numShards = 16
 // behind one global lock. Entries are immutable once stored (replacement
 // swaps the pointer; recency is a per-entry atomic), which keeps readers
 // lock-free beyond the shard read-lock.
+//
+// gen is the store's generation: it advances after every put, removal,
+// replace and clear has become visible. The manager advances it too
+// where the invariant or call index changes after the store does. A
+// result computed from the store while gen held one value is current
+// for as long as gen still holds it.
 type store struct {
 	shards [numShards]storeShard
 	count  atomic.Int64
 	bytes  atomic.Int64
+	gen    atomic.Uint64
 }
 
 type storeShard struct {
@@ -68,6 +75,7 @@ func (s *store) put(key string, e *Entry) *Entry {
 		s.count.Add(1)
 	}
 	s.bytes.Add(int64(e.Bytes))
+	s.gen.Add(1)
 	return old
 }
 
@@ -85,6 +93,7 @@ func (s *store) removeIf(key string, e *Entry) bool {
 	sh.mu.Unlock()
 	s.count.Add(-1)
 	s.bytes.Add(int64(-e.Bytes))
+	s.gen.Add(1)
 	return true
 }
 
@@ -124,6 +133,7 @@ func (s *store) replace(entries map[string]*Entry) {
 	}
 	s.count.Store(count)
 	s.bytes.Store(bytes)
+	s.gen.Add(1)
 }
 
 func (s *store) clear() {
@@ -135,4 +145,5 @@ func (s *store) clear() {
 	}
 	s.count.Store(0)
 	s.bytes.Store(0)
+	s.gen.Add(1)
 }

@@ -71,6 +71,51 @@ type Record struct {
 	RecordedAt            time.Duration
 }
 
+// stored is one raw record as the module keeps it, under its function's
+// group: the group key already names the domain and function, so each
+// record holds only what varies per call (64 bytes against an exported
+// Record's 96). Records() and Save rebuild the exported form.
+type stored struct {
+	args  []term.Value
+	cost  domain.CostVector
+	at    time.Duration
+	valid uint8 // hasTf | hasTa | hasCard
+}
+
+// Validity bits of a stored record.
+const (
+	hasTf uint8 = 1 << iota
+	hasTa
+	hasCard
+)
+
+// compact strips an exported record to its stored form.
+func compact(rec Record) stored {
+	s := stored{args: rec.Call.Args, cost: rec.Cost, at: rec.RecordedAt}
+	if rec.HasTf {
+		s.valid |= hasTf
+	}
+	if rec.HasTa {
+		s.valid |= hasTa
+	}
+	if rec.HasCard {
+		s.valid |= hasCard
+	}
+	return s
+}
+
+// record rebuilds the exported form of a stored record of group g.
+func (s *stored) record(g group) Record {
+	return Record{
+		Call:       domain.Call{Domain: g.dom, Function: g.fn, Args: s.args},
+		Cost:       s.cost,
+		HasTf:      s.valid&hasTf != 0,
+		HasTa:      s.valid&hasTa != 0,
+		HasCard:    s.valid&hasCard != 0,
+		RecordedAt: s.at,
+	}
+}
+
 // group identifies all records of one domain function.
 type group struct {
 	dom, fn string
@@ -99,7 +144,8 @@ type DB struct {
 	cfg Config
 
 	mu         sync.RWMutex
-	records    map[group][]Record
+	records    map[group]*funcStats
+	tabMu      sync.Mutex // guards funcStats.tables under the read lock
 	summaries  map[tableID]*SummaryTable
 	estimators map[string]domain.Estimator
 	now        func() time.Duration
@@ -115,7 +161,7 @@ func New(cfg Config, now func() time.Duration) *DB {
 	}
 	return &DB{
 		cfg:        cfg,
-		records:    make(map[group][]Record),
+		records:    make(map[group]*funcStats),
 		summaries:  make(map[tableID]*SummaryTable),
 		estimators: make(map[string]domain.Estimator),
 		now:        now,
@@ -145,20 +191,14 @@ func (db *DB) Observe(m domain.Measurement) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.ob.Counter("hermes_dcsm_observations_total").Inc()
-	rec := Record{
+	db.appendRecord(Record{
 		Call:       m.Call,
 		Cost:       m.Cost,
 		HasTf:      true,
 		HasTa:      m.Complete,
 		HasCard:    m.Complete,
 		RecordedAt: db.now(),
-	}
-	key := group{m.Call.Domain, m.Call.Function, len(m.Call.Args)}
-	recs := append(db.records[key], rec)
-	if db.cfg.MaxRecordsPerCall > 0 && len(recs) > db.cfg.MaxRecordsPerCall {
-		recs = recs[len(recs)-db.cfg.MaxRecordsPerCall:]
-	}
-	db.records[key] = recs
+	})
 }
 
 // ObserveRecord inserts a fully-specified record, preserving its original
@@ -167,19 +207,36 @@ func (db *DB) Observe(m domain.Measurement) {
 func (db *DB) ObserveRecord(rec Record) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	key := group{rec.Call.Domain, rec.Call.Function, len(rec.Call.Args)}
-	recs := append(db.records[key], rec)
-	if db.cfg.MaxRecordsPerCall > 0 && len(recs) > db.cfg.MaxRecordsPerCall {
-		recs = recs[len(recs)-db.cfg.MaxRecordsPerCall:]
+	db.appendRecord(rec)
+}
+
+// appendRecord stores a record, folding it into its function's running
+// tables and trimming beyond MaxRecordsPerCall. The caller holds the
+// write lock.
+func (db *DB) appendRecord(rec Record) {
+	g := group{rec.Call.Domain, rec.Call.Function, len(rec.Call.Args)}
+	fs := db.records[g]
+	if fs == nil {
+		fs = &funcStats{}
+		db.records[g] = fs
 	}
-	db.records[key] = recs
+	fs.append(compact(rec), db.cfg.MaxRecordsPerCall)
+}
+
+// recs returns a function's raw records (nil when it has none). The
+// caller holds a lock.
+func (db *DB) recs(g group) []stored {
+	if fs := db.records[g]; fs != nil {
+		return fs.recs
+	}
+	return nil
 }
 
 // RecordCount returns the number of raw records held for a function.
 func (db *DB) RecordCount(dom, fn string, arity int) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.records[group{dom, fn, arity}])
+	return len(db.recs(group{dom, fn, arity}))
 }
 
 // Records returns a copy of the raw records for a function, in recording
@@ -187,11 +244,18 @@ func (db *DB) RecordCount(dom, fn string, arity int) int {
 func (db *DB) Records(dom, fn string, arity int) []Record {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return append([]Record(nil), db.records[group{dom, fn, arity}]...)
+	g := group{dom, fn, arity}
+	recs := db.recs(g)
+	out := make([]Record, len(recs))
+	for i := range recs {
+		out[i] = recs[i].record(g)
+	}
+	return out
 }
 
-// DropDetail deletes the raw records of a function, keeping only its
-// summary tables — the space-saving motivation of §6.2.
+// DropDetail deletes the raw records of a function, and the running
+// tables over them, keeping only its summary tables — the space-saving
+// motivation of §6.2.
 func (db *DB) DropDetail(dom, fn string, arity int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -226,12 +290,10 @@ func (db *DB) FunctionStats() []FunctionStat {
 		}
 		return st
 	}
-	for _, recs := range db.records {
-		if len(recs) == 0 {
-			continue
+	for g, fs := range db.records {
+		if len(fs.recs) > 0 {
+			get(g.dom, g.fn, g.arity).Records = len(fs.recs)
 		}
-		c := recs[0].Call
-		get(c.Domain, c.Function, len(c.Args)).Records = len(recs)
 	}
 	for _, t := range db.summaries {
 		get(t.Domain, t.Function, t.Arity).SummaryTables++
@@ -252,13 +314,13 @@ func (db *DB) FunctionStats() []FunctionStat {
 	return out
 }
 
-// weight returns the recency weight of a record at summarization or
-// estimation time.
-func (db *DB) weight(rec Record, now time.Duration) float64 {
+// weight returns the recency weight of a record stamped at at, read at
+// summarization or estimation time now.
+func (db *DB) weight(at, now time.Duration) float64 {
 	if db.cfg.RecencyHalfLife <= 0 {
 		return 1
 	}
-	age := now - rec.RecordedAt
+	age := now - at
 	if age <= 0 {
 		return 1
 	}
@@ -278,8 +340,8 @@ func (db *DB) Storage() StorageStats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var s StorageStats
-	for _, recs := range db.records {
-		s.RawRecords += len(recs)
+	for _, fs := range db.records {
+		s.RawRecords += len(fs.recs)
 	}
 	s.SummaryTables = len(db.summaries)
 	for _, t := range db.summaries {
@@ -290,29 +352,38 @@ func (db *DB) Storage() StorageStats {
 
 // aggregate folds the records matching a pattern's constants at the mask's
 // positions into a cost vector, respecting missing components and recency
-// weights. ok=false when no record contributes anything.
-func (db *DB) aggregate(recs []Record, p domain.Pattern, mask uint64) (domain.CostVector, bool) {
+// weights. ok=false when no record contributes anything. It is the only
+// path under a recency half-life and the reference the running tables
+// must reproduce bit for bit.
+func (db *DB) aggregate(recs []stored, p domain.Pattern, mask uint64) (domain.CostVector, bool) {
 	now := db.now()
 	var sumTf, sumTa, sumCard float64
 	var wTf, wTa, wCard float64
-	for _, r := range recs {
-		if !matchMask(p, mask, r.Call) {
+	for i := range recs {
+		r := &recs[i]
+		if !matchMask(p, mask, r.args) {
 			continue
 		}
-		w := db.weight(r, now)
-		if r.HasTf {
-			sumTf += w * float64(r.Cost.TFirst)
+		w := db.weight(r.at, now)
+		if r.valid&hasTf != 0 {
+			sumTf += w * float64(r.cost.TFirst)
 			wTf += w
 		}
-		if r.HasTa {
-			sumTa += w * float64(r.Cost.TAll)
+		if r.valid&hasTa != 0 {
+			sumTa += w * float64(r.cost.TAll)
 			wTa += w
 		}
-		if r.HasCard {
-			sumCard += w * r.Cost.Card
+		if r.valid&hasCard != 0 {
+			sumCard += w * r.cost.Card
 			wCard += w
 		}
 	}
+	return meanVector(sumTf, wTf, sumTa, wTa, sumCard, wCard)
+}
+
+// meanVector turns weighted sums into a cost vector. ok=false when no
+// component has weight.
+func meanVector(sumTf, wTf, sumTa, wTa, sumCard, wCard float64) (domain.CostVector, bool) {
 	if wTf == 0 && wTa == 0 && wCard == 0 {
 		return domain.CostVector{}, false
 	}
@@ -336,15 +407,15 @@ func (db *DB) aggregate(recs []Record, p domain.Pattern, mask uint64) (domain.Co
 	return cv, true
 }
 
-// matchMask reports whether a record's call matches a pattern's constants
-// at the positions set in mask (all of which are known in p).
-func matchMask(p domain.Pattern, mask uint64, c domain.Call) bool {
-	if len(p.Args) != len(c.Args) {
+// matchMask reports whether a record's arguments match a pattern's
+// constants at the positions set in mask (all of which are known in p).
+func matchMask(p domain.Pattern, mask uint64, args []term.Value) bool {
+	if len(p.Args) != len(args) {
 		return false
 	}
 	for m := mask; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		if !term.Equal(p.Args[i].Val, c.Args[i]) {
+		if !term.Equal(p.Args[i].Val, args[i]) {
 			return false
 		}
 	}

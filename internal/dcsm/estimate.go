@@ -19,7 +19,9 @@ import (
 //     to the fully-general single-row table (§6.3).
 //  3. When AllowRawAggregation is set, levels without a matching summary
 //     table aggregate the raw cost vector database instead (the expensive
-//     average the summaries exist to avoid).
+//     average the summaries exist to avoid). Without a recency half-life
+//     the aggregate is read from a running table kept current as records
+//     arrive (running.go), not recomputed.
 func (db *DB) Cost(p domain.Pattern) (domain.CostVector, error) {
 	return db.cost(p, nil)
 }
@@ -118,7 +120,7 @@ func (db *DB) costFromStats(p domain.Pattern, trace *[]string) (domain.CostVecto
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	g := group{p.Domain, p.Function, len(p.Args)}
-	recs := db.records[g]
+	fs := db.records[g]
 
 	known := p.Mask()
 	var pos [maxDims]int // known positions, ascending
@@ -138,7 +140,7 @@ func (db *DB) costFromStats(p domain.Pattern, trace *[]string) (domain.CostVecto
 			for _, i := range comb {
 				mask &^= 1 << uint(pos[i])
 			}
-			if cv, ok := db.probeLevel(p, tableID{g, mask}, recs, trace); ok {
+			if cv, ok := db.probeLevel(p, tableID{g, mask}, fs, trace); ok {
 				return cv, nil
 			}
 		}
@@ -169,7 +171,7 @@ func nextCombination(comb []int, k int) bool {
 // the level's positions if there is one, else (when allowed) raw
 // aggregation over the records matching the level's constants. The
 // caller holds the read lock.
-func (db *DB) probeLevel(p domain.Pattern, id tableID, recs []Record, trace *[]string) (domain.CostVector, bool) {
+func (db *DB) probeLevel(p domain.Pattern, id tableID, fs *funcStats, trace *[]string) (domain.CostVector, bool) {
 	if t, ok := db.summaries[id]; ok {
 		if row, hit := t.lookupRow(p); hit {
 			if cv, valid := rowVector(row); valid {
@@ -186,8 +188,8 @@ func (db *DB) probeLevel(p domain.Pattern, id tableID, recs []Record, trace *[]s
 		}
 		return domain.CostVector{}, false
 	}
-	if db.cfg.AllowRawAggregation && len(recs) > 0 {
-		if cv, ok := db.aggregate(recs, p, id.dims); ok {
+	if db.cfg.AllowRawAggregation && fs != nil && len(fs.recs) > 0 {
+		if cv, ok := db.rawAggregate(fs, p, id.dims); ok {
 			db.access.noteRawServe(id)
 			db.countEstimate("raw")
 			if trace != nil {
@@ -204,6 +206,20 @@ func (db *DB) probeLevel(p domain.Pattern, id tableID, recs []Record, trace *[]s
 		*trace = append(*trace, fmt.Sprintf("no table with dims %s for %s", dimsKey(dimsOf(id.dims)), relaxTo(p, id.dims)))
 	}
 	return domain.CostVector{}, false
+}
+
+// rawAggregate answers raw aggregation at a mask: from the function's
+// running table at that mask (built here on first use) under uniform
+// weights, by scanning the records under a recency half-life. The caller
+// holds the read lock.
+func (db *DB) rawAggregate(fs *funcStats, p domain.Pattern, mask uint64) (domain.CostVector, bool) {
+	if db.cfg.RecencyHalfLife > 0 {
+		return db.aggregate(fs.recs, p, mask)
+	}
+	db.tabMu.Lock()
+	t := fs.table(mask)
+	db.tabMu.Unlock()
+	return t.lookup(fs, p)
 }
 
 // relaxTo returns p with every known constant outside mask relaxed to $b:

@@ -64,8 +64,9 @@ func (db *DB) Save(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	snap := snapshot{Version: snapshotVersion}
-	for _, recs := range db.records {
-		for _, rec := range recs {
+	for g, fs := range db.records {
+		for i := range fs.recs {
+			rec := fs.recs[i].record(g)
 			args, err := term.EncodeJSONs(rec.Call.Args)
 			if err != nil {
 				return fmt.Errorf("dcsm: save: %w", err)
@@ -100,7 +101,8 @@ func (db *DB) Save(w io.Writer) error {
 }
 
 // Load replaces the module's state with a snapshot previously written by
-// Save.
+// Save. Running tables are discarded; estimation rebuilds them from the
+// loaded records.
 func (db *DB) Load(r io.Reader) error {
 	var snap snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -109,7 +111,7 @@ func (db *DB) Load(r io.Reader) error {
 	if snap.Version != snapshotVersion {
 		return fmt.Errorf("dcsm: load: unsupported snapshot version %d", snap.Version)
 	}
-	records := make(map[group][]Record)
+	records := make(map[group]*funcStats)
 	for _, sr := range snap.Records {
 		args, err := term.DecodeJSONs(sr.Args)
 		if err != nil {
@@ -124,7 +126,12 @@ func (db *DB) Load(r io.Reader) error {
 			RecordedAt: time.Duration(sr.AtNs),
 		}
 		key := group{sr.Domain, sr.Function, len(args)}
-		records[key] = append(records[key], rec)
+		fs := records[key]
+		if fs == nil {
+			fs = &funcStats{}
+			records[key] = fs
+		}
+		fs.recs = append(fs.recs, compact(rec))
 	}
 	summaries := make(map[tableID]*SummaryTable)
 	for _, st := range snap.Tables {

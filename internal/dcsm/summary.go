@@ -108,14 +108,15 @@ func (db *DB) Summarize(dom, fn string, arity int, dims []int) (*SummaryTable, e
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	recs := db.records[group{dom, fn, arity}]
+	recs := db.recs(group{dom, fn, arity})
 	now := db.now()
 	t := &SummaryTable{Domain: dom, Function: fn, Arity: arity, Dims: nd,
 		rows: make(map[string]*SummaryRow), BuiltAt: now}
-	for _, rec := range recs {
+	for k := range recs {
+		rec := &recs[k]
 		dimVals := make([]term.Value, len(nd))
 		for i, d := range nd {
-			dimVals[i] = rec.Call.Args[d]
+			dimVals[i] = rec.args[d]
 		}
 		k := rowKey(dimVals)
 		row, ok := t.rows[k]
@@ -123,18 +124,18 @@ func (db *DB) Summarize(dom, fn string, arity int, dims []int) (*SummaryTable, e
 			row = &SummaryRow{DimVals: dimVals}
 			t.rows[k] = row
 		}
-		w := db.weight(rec, now)
+		w := db.weight(rec.at, now)
 		row.L++
-		if rec.HasTf {
-			row.AvgTf = weightedMean(row.AvgTf, row.wTf, rec.Cost.TFirst, w)
+		if rec.valid&hasTf != 0 {
+			row.AvgTf = weightedMean(row.AvgTf, row.wTf, rec.cost.TFirst, w)
 			row.wTf += w
 		}
-		if rec.HasTa {
-			row.AvgTa = weightedMean(row.AvgTa, row.wTa, rec.Cost.TAll, w)
+		if rec.valid&hasTa != 0 {
+			row.AvgTa = weightedMean(row.AvgTa, row.wTa, rec.cost.TAll, w)
 			row.wTa += w
 		}
-		if rec.HasCard {
-			row.AvgCard = weightedMeanF(row.AvgCard, row.wCard, rec.Cost.Card, w)
+		if rec.valid&hasCard != 0 {
+			row.AvgCard = weightedMeanF(row.AvgCard, row.wCard, rec.cost.Card, w)
 			row.wCard += w
 		}
 	}

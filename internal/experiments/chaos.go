@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,8 +101,10 @@ type ChaosQueryResult struct {
 	// TAll is the query's metrics.TAll (bounded by the deadline on a
 	// passing run).
 	TAll time.Duration
-	// AnswerKeys is the sorted canonical encoding of the answer set.
-	AnswerKeys []string
+	// Answers is the sorted canonical encoding of the answer multiset
+	// (answerMultiset): the sources are seeded, so multiplicities repeat
+	// and are compared too.
+	Answers []string
 	// Err is the query error, "" on success.
 	Err string
 }
@@ -189,7 +190,7 @@ func runChaosPass(opts ChaosOptions, faults *faultinject.Config) (*ChaosReport, 
 				res.Err = err.Error()
 			}
 			res.TAll = metrics.TAll
-			res.AnswerKeys = answerKeys(answers)
+			res.Answers = answerMultiset(answers)
 		}
 		report.Queries = append(report.Queries, res)
 	}
@@ -244,28 +245,6 @@ func RunChaos(opts ChaosOptions) (truth, faulted *ChaosReport, err error) {
 	return truth, faulted, nil
 }
 
-// answerKeys canonicalizes an answer set for comparison.
-func answerKeys(answers []engine.Answer) []string {
-	keys := make([]string, 0, len(answers))
-	for _, a := range answers {
-		parts := make([]string, len(a.Vals))
-		for i, v := range a.Vals {
-			parts[i] = v.Key()
-		}
-		keys = append(keys, strings.Join(parts, "|"))
-	}
-	sort.Strings(keys)
-	// Answer sets are sets: collapse duplicates so subset comparisons
-	// are insensitive to delivery order and multiplicity.
-	out := keys[:0]
-	for i, k := range keys {
-		if i == 0 || keys[i-1] != k {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // FormatChaos renders a chaos report for the experiment CLI.
 func FormatChaos(truth, faulted *ChaosReport) string {
 	var b strings.Builder
@@ -279,7 +258,7 @@ func FormatChaos(truth, faulted *ChaosReport) string {
 		switch {
 		case q.Err != "":
 			failed++
-		case len(q.AnswerKeys) == len(truth.Queries[i].AnswerKeys):
+		case len(q.Answers) == len(truth.Queries[i].Answers):
 			full++
 		default:
 			degraded++

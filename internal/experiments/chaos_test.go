@@ -14,7 +14,8 @@ import (
 	"hermes/internal/vclock"
 )
 
-// isSubset reports whether every key of sub appears in super (both sorted).
+// isSubset reports whether the multiset sub is contained in super (both
+// sorted): every key of sub is matched by its own occurrence in super.
 func isSubset(sub, super []string) bool {
 	i := 0
 	for _, k := range sub {
@@ -24,6 +25,7 @@ func isSubset(sub, super []string) bool {
 		if i >= len(super) || super[i] != k {
 			return false
 		}
+		i++
 	}
 	return true
 }
@@ -50,7 +52,7 @@ func TestChaosSoak(t *testing.T) {
 		if q.Err != "" {
 			t.Fatalf("truth pass query %q failed: %s", q.Query, q.Err)
 		}
-		if len(q.AnswerKeys) == 0 {
+		if len(q.Answers) == 0 {
 			t.Fatalf("truth pass query %q returned no answers; workload is vacuous", q.Query)
 		}
 	}
@@ -68,12 +70,12 @@ func TestChaosSoak(t *testing.T) {
 	// Soundness: faulted answers are a subset of the fault-free answers.
 	degradedQueries := 0
 	for i, q := range faulted.Queries {
-		full := truth.Queries[i].AnswerKeys
-		if !isSubset(q.AnswerKeys, full) {
+		full := truth.Queries[i].Answers
+		if !isSubset(q.Answers, full) {
 			t.Errorf("round %d query %q returned tuples outside the true answer set:\n  faulted: %v\n  truth:   %v",
-				q.Round, q.Query, q.AnswerKeys, full)
+				q.Round, q.Query, q.Answers, full)
 		}
-		if len(q.AnswerKeys) < len(full) {
+		if len(q.Answers) < len(full) {
 			degradedQueries++
 		}
 	}
@@ -134,8 +136,8 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	for i := range run1.Queries {
 		q1, q2 := run1.Queries[i], run2.Queries[i]
-		if !reflect.DeepEqual(q1.AnswerKeys, q2.AnswerKeys) {
-			t.Errorf("query %d (%s) answers differ across same-seed runs:\nrun1: %v\nrun2: %v", i, q1.Query, q1.AnswerKeys, q2.AnswerKeys)
+		if !reflect.DeepEqual(q1.Answers, q2.Answers) {
+			t.Errorf("query %d (%s) answers differ across same-seed runs:\nrun1: %v\nrun2: %v", i, q1.Query, q1.Answers, q2.Answers)
 		}
 		if q1.TAll != q2.TAll {
 			t.Errorf("query %d (%s) timing differs across same-seed runs: %v vs %v", i, q1.Query, q1.TAll, q2.TAll)

@@ -18,10 +18,9 @@ import (
 // parallelism, asserting that every configuration produces exactly the
 // same answer multiset per query. The engine performs no duplicate
 // elimination, so replaying a memoized relation must reproduce
-// multiplicities too — which is why comparisons use answerMultiset and
-// not the deduplicating answerKeys of the chaos harness. Everything runs
-// on the virtual clock, so a mismatch is deterministic and replayable
-// from the seed.
+// multiplicities too — which is why comparisons use answerMultiset,
+// which keeps duplicates. Everything runs on the virtual clock, so a
+// mismatch is deterministic and replayable from the seed.
 
 // DifferentialOptions configure a differential run.
 type DifferentialOptions struct {
@@ -153,8 +152,8 @@ func differentialWorkload(seed int64, n int, repeatFraction float64) []diffQuery
 }
 
 // answerMultiset canonicalizes an answer multiset: one key per delivered
-// answer, sorted, duplicates preserved. The deduplicating answerKeys of
-// the chaos harness would mask a memo bug that drops or doubles tuples.
+// answer, sorted, duplicates preserved. A deduplicated key set would mask
+// a bug that drops or doubles tuples.
 func answerMultiset(answers []engine.Answer) []string {
 	keys := make([]string, len(answers))
 	for i, a := range answers {

@@ -3,6 +3,7 @@ package resilience
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strconv"
 	"sync"
 	"time"
@@ -36,7 +37,9 @@ type Policy struct {
 	Breaker BreakerConfig
 	// ResumeStream re-issues the call after a mid-stream retryable
 	// failure and resumes the answer stream, suppressing answers already
-	// delivered (answer sets are sets, so this is sound).
+	// delivered: the fresh stream replays the answer bag from the start,
+	// and each answer is skipped as many times as it was delivered
+	// before the cut, so repeats beyond those still arrive.
 	ResumeStream bool
 	// MaxResumes bounds mid-stream re-issues per call (default 2 when
 	// ResumeStream is set).
@@ -298,7 +301,7 @@ func (w *Wrapper) callRaw(ctx *domain.Ctx, call domain.Call, fn string, args []t
 func (w *Wrapper) newStream(parent, streamCtx *domain.Ctx, call domain.Call, s domain.Stream) domain.Stream {
 	rs := &resilientStream{w: w, parent: parent, cur: s, curCtx: streamCtx, call: call}
 	if w.policy.ResumeStream {
-		rs.seen = make(map[string]struct{})
+		rs.delivered = make(map[string]int)
 	}
 	return rs
 }
@@ -307,14 +310,17 @@ func (w *Wrapper) newStream(parent, streamCtx *domain.Ctx, call domain.Call, s d
 // resumes after mid-stream retryable failures by re-issuing the call and
 // suppressing already-delivered answers.
 type resilientStream struct {
-	w       *Wrapper
-	parent  *domain.Ctx
-	cur     domain.Stream
-	curCtx  *domain.Ctx
-	call    domain.Call
-	seen    map[string]struct{}
-	resumes int
-	done    bool
+	w      *Wrapper
+	parent *domain.Ctx
+	cur    domain.Stream
+	curCtx *domain.Ctx
+	call   domain.Call
+	// delivered counts the answers delivered so far, by key. At each
+	// resume skip becomes a copy of it: the replayed prefix to drop.
+	delivered map[string]int
+	skip      map[string]int
+	resumes   int
+	done      bool
 }
 
 func (s *resilientStream) join() {
@@ -335,12 +341,13 @@ func (s *resilientStream) Next() (term.Value, bool, error) {
 				s.done = true
 				return nil, false, nil
 			}
-			if s.seen != nil {
+			if s.delivered != nil {
 				k := v.Key()
-				if _, dup := s.seen[k]; dup && s.resumes > 0 {
-					continue // already delivered before the truncation
+				if n := s.skip[k]; n > 0 {
+					s.skip[k] = n - 1
+					continue // delivered before the truncation
 				}
-				s.seen[k] = struct{}{}
+				s.delivered[k]++
 			}
 			return v, true, nil
 		}
@@ -363,7 +370,7 @@ func (s *resilientStream) Next() (term.Value, bool, error) {
 		s.cur.Close()
 		// Re-issue through the full breaker/retry path. callRaw keeps the
 		// resume accounting here, at the top level: the fresh stream
-		// replays the whole answer set, the seen-filter drops the prefix
+		// replays the whole answer bag, skip drops one replay per answer
 		// already delivered, and this loop (bounded by MaxResumes) handles
 		// any further truncation.
 		ns, nctx, rerr := s.w.callRaw(s.parent, s.call, s.call.Function, s.call.Args)
@@ -372,6 +379,7 @@ func (s *resilientStream) Next() (term.Value, bool, error) {
 			return nil, false, rerr
 		}
 		s.cur, s.curCtx = ns, nctx
+		s.skip = maps.Clone(s.delivered)
 	}
 }
 

@@ -227,7 +227,7 @@ func TestWrapperResumesTruncatedStream(t *testing.T) {
 		t.Fatalf("resumed stream failed: %v", err)
 	}
 	// The full answer set, exactly once: the resume replays the source
-	// stream and the seen-filter drops the prefix delivered before the cut.
+	// stream and the skip counts drop the prefix delivered before the cut.
 	if len(got) != 5 {
 		t.Fatalf("got %d answers, want 5: %v", len(got), got)
 	}
@@ -242,6 +242,55 @@ func TestWrapperResumesTruncatedStream(t *testing.T) {
 	if m := w.Metrics(); m.StreamResumes != 1 {
 		t.Errorf("metrics = %+v", m)
 	}
+}
+
+// TestWrapperResumeKeepsRepeatedAnswers: answers are bags. A source bag
+// [1,1,2] cut after its first answer must come back as [1,1,2]: the
+// resume skips the one 1 delivered before the cut, not every 1. A second
+// cut, after the second 1, must still deliver the 2 exactly once.
+func TestWrapperResumeKeepsRepeatedAnswers(t *testing.T) {
+	bag := []term.Value{term.Int(1), term.Int(1), term.Int(2)}
+	for _, tc := range []struct {
+		name string
+		cuts []int
+	}{
+		{"one cut", []int{1}},
+		{"two cuts", []int{1, 2}},
+	} {
+		src := &cutEach{flaky: flaky{vals: bag}, cuts: tc.cuts}
+		w := Wrap(src, Policy{MaxAttempts: 1, Seed: 3, ResumeStream: true, MaxResumes: 2})
+		s, err := w.Call(domain.NewCtx(vclock.NewVirtual(0)), "get", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := domain.Collect(s)
+		if err != nil {
+			t.Fatalf("%s: resumed stream failed: %v", tc.name, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(bag) {
+			t.Errorf("%s: resumed bag = %v, want %v", tc.name, got, bag)
+		}
+		if m := w.Metrics(); m.StreamResumes != len(tc.cuts) {
+			t.Errorf("%s: resumes = %d, want %d", tc.name, m.StreamResumes, len(tc.cuts))
+		}
+	}
+}
+
+// cutEach serves its values, cutting the i-th stream after cuts[i]
+// answers and serving later streams whole.
+type cutEach struct {
+	flaky
+	cuts []int
+}
+
+func (c *cutEach) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stream, error) {
+	i := c.calls
+	c.calls++
+	s := domain.NewSliceStream(c.vals)
+	if i < len(c.cuts) {
+		return &cutStream{inner: s, after: c.cuts[i]}, nil
+	}
+	return s, nil
 }
 
 func TestWrapperResumeExhaustionSurfacesError(t *testing.T) {
